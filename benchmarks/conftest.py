@@ -9,6 +9,11 @@ The heavy lifting happens once per benchmark (``pedantic`` with one round);
 the numbers of interest are simulated durations, not wall-clock timings, so
 repeating the run would only repeat identical work.
 
+A few benchmarks do assert host wall-clock *ratios* (sketch vs exact
+metrics, indexed vs scan routing, tracing sampled vs off): they time the
+compared runs themselves with :func:`timed_call`, in this process, so
+the simulation drivers stay free of wall-clock reads.
+
 Setting ``REPRO_BENCH_QUICK=1`` shrinks the heavy cluster benchmarks to
 smoke-test scale (fewer rounds, shorter virtual durations) via the
 ``bench_scale`` fixture — the CI smoke job uses this so the perf drivers
@@ -17,8 +22,10 @@ stay exercised on every push without paying full benchmark wall-clock time.
 
 from __future__ import annotations
 
+import gc
 import os
-from typing import Callable, TypeVar
+import time
+from typing import Callable, Tuple, TypeVar
 
 import pytest
 
@@ -33,6 +40,20 @@ BENCH_QUICK = os.environ.get("REPRO_BENCH_QUICK", "").strip().lower() in (
 def run_once(benchmark, func: Callable[[], object]):
     """Run ``func`` exactly once under pytest-benchmark and return its result."""
     return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def timed_call(func: Callable[[], T]) -> Tuple[T, float]:
+    """Run ``func`` once after a full collection; return (result, seconds)."""
+    gc.collect()
+    started = time.perf_counter()
+    result = func()
+    return result, time.perf_counter() - started
+
+
+@pytest.fixture
+def timed():
+    """Fixture wrapping :func:`timed_call`."""
+    return timed_call
 
 
 @pytest.fixture

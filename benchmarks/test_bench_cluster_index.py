@@ -1,32 +1,25 @@
-"""The cluster-scale routing baseline — indexed vs scan, bit-identical.
+"""The cluster-scale routing trace — indexed vs scan, bit-identical.
 
-:func:`run_cluster_scale` replays the same warm-aware + work-stealing
-diurnal trace once per routing implementation per sweep point.  The two
-implementations make exactly the same decisions (same invoker per
-invocation, same steals, same cold starts — the scan is the correctness
-oracle for the :class:`~repro.faas.index.ClusterIndex`), so the
-wall-clock gap is purely the cost of the per-request O(invokers ×
-actions) scans the index replaces with O(log N) queries.
+:func:`_cluster_scale_run` replays the same warm-aware + work-stealing
+diurnal trace once per routing implementation.  The two implementations
+make exactly the same decisions (same invoker per invocation, same
+steals, same cold starts — the scan is the correctness oracle for the
+:class:`~repro.faas.index.ClusterIndex`), so the wall-clock gap is
+purely the cost of the per-request O(invokers × actions) scans the index
+replaces with O(log N) queries.  Both routings run in this process, back
+to back, each timed around the whole call; the indexed run also checks
+its index against a from-scratch recompute.
 
-The committed full-scale numbers live under the ``cluster_scale`` key of
-``BENCH_perf.json`` (regenerate with ``python -m repro.cli perf-trace
---shape cluster-scale``); CI replays the first sweep point at quick
-scale on every push and fails if indexed throughput regresses by more
-than 25 % or any bit-identity cross-check breaks (see
-``scripts/check_perf_regression.py``).
-
-By default this benchmark runs the first sweep point (16 invokers x 128
-actions) at reduced arrivals; the full sweep — including the 32x256
-acceptance point whose indexed speedup must clear 3x — belongs to the
-CLI's tracked baseline.  Set ``REPRO_BENCH_FULL=1`` to run the 32x256
-point here and assert the 3x claim directly.
+By default this benchmark runs 16 invokers x 128 actions at reduced
+arrivals.  Set ``REPRO_BENCH_FULL=1`` to run the 32 x 256 acceptance
+point, whose indexed speedup must clear 3x.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.analysis.experiments import run_cluster_scale
+from repro.analysis.experiments import _cluster_scale_run
 from repro.analysis.tables import render_table
 
 #: Full-scale acceptance point on request only; see the module docstring.
@@ -34,64 +27,68 @@ BENCH_FULL = os.environ.get("REPRO_BENCH_FULL", "").strip().lower() in (
     "1", "true", "yes", "on",
 )
 
+ROUTINGS = ("scan", "indexed")
 
-def _render(report):
-    rows = []
-    for key, point in report["points"].items():
-        for run in point["routing"].values():
-            rows.append([
-                key,
-                run["routing"],
-                f"{run['arrivals']:,}",
-                f"{run['wall_seconds']:.1f}",
-                f"{run['invocations_per_second']:,.0f}",
-                str(run["steals"]),
-                str(run["cold_starts"]),
-                f"{run['goodput_fraction'] * 100:.1f}%",
-            ])
-    speedups = ", ".join(
-        f"{key} {point['speedup_indexed_vs_scan']:.2f}x"
-        for key, point in report["points"].items()
-    )
+
+def _render(runs, key, invocations, speedup):
+    rows = [
+        [
+            key,
+            routing,
+            f"{run['arrivals']:,}",
+            f"{run['wall_seconds']:.1f}",
+            f"{run['arrivals'] / run['wall_seconds']:,.0f}",
+            str(run["steals"]),
+            str(run["cold_starts"]),
+            f"{run['goodput_fraction'] * 100:.1f}%",
+        ]
+        for routing, run in runs.items()
+    ]
     print()
     print(render_table(
         ["point", "routing", "arrivals", "wall (s)", "inv/s",
          "steals", "cold starts", "goodput"],
         rows,
         title=(
-            f"Cluster-scale routing — "
-            f"{report['invocations_requested']:,} requested invocations "
-            f"per point, indexed speedup: {speedups}"
+            f"Cluster-scale routing — {invocations:,} requested "
+            f"invocations, indexed speedup {speedup:.2f}x"
         ),
     ))
 
 
 def test_indexed_routing_is_faster_and_bit_identical(
-    benchmark, bench_once, bench_scale
+    benchmark, bench_once, bench_scale, timed
 ):
-    point = (32, 256) if BENCH_FULL else (16, 128)
+    invokers, actions = (32, 256) if BENCH_FULL else (16, 128)
     invocations = 30_000 if BENCH_FULL else bench_scale(10_000, 5_000)
-    report = bench_once(
-        benchmark,
-        lambda: run_cluster_scale(invocations=invocations, points=[point]),
-    )
-    _render(report)
 
-    key = f"{point[0]}x{point[1]}"
-    result = report["points"][key]
-    indexed = result["routing"]["indexed"]
-    scan = result["routing"]["scan"]
+    def compare():
+        runs = {}
+        for routing in ROUTINGS:
+            run, wall = timed(lambda: _cluster_scale_run(
+                routing,
+                invokers=invokers,
+                actions=actions,
+                invocations=invocations,
+            ))
+            run["wall_seconds"] = wall
+            runs[routing] = run
+        return runs
+
+    runs = bench_once(benchmark, compare)
+    scan, indexed = runs["scan"], runs["indexed"]
+    speedup = scan["wall_seconds"] / indexed["wall_seconds"]
+    key = f"{invokers}x{actions}"
+    _render(runs, key, invocations, speedup)
 
     # Bit-identity first: both routings simulated the *same* cluster
     # doing the same work.  A fast router that routes differently is a
     # correctness bug, not a speedup.
-    assert result["equal_goodput"], (scan["goodput_fraction"],
-                                     indexed["goodput_fraction"])
-    assert result["equal_cold_starts"], (scan["cold_starts"],
-                                         indexed["cold_starts"])
-    assert result["equal_steals"], (scan["steals"], indexed["steals"])
-    assert result["equal_routing"]
-    assert result["equal_p99"]
+    assert scan["goodput_fraction"] == indexed["goodput_fraction"]
+    assert scan["cold_starts"] == indexed["cold_starts"]
+    assert scan["steals"] == indexed["steals"]
+    assert scan["routed_per_invoker"] == indexed["routed_per_invoker"]
+    assert scan["p99_ms"] == indexed["p99_ms"]
     assert indexed["arrivals"] == scan["arrivals"] >= invocations
     # The shape genuinely exercises the steal machinery.
     assert indexed["steals"] > 0
@@ -100,14 +97,12 @@ def test_indexed_routing_is_faster_and_bit_identical(
     # quick points have proportionally less scan work to remove, so
     # their floor is deliberately conservative.
     floor = 3.0 if BENCH_FULL else 1.2
-    assert result["speedup_indexed_vs_scan"] >= floor, result[
-        "speedup_indexed_vs_scan"
-    ]
+    assert speedup >= floor, speedup
 
     benchmark.extra_info.update(
         point=key,
-        speedup=result["speedup_indexed_vs_scan"],
-        indexed_inv_per_s=indexed["invocations_per_second"],
-        scan_inv_per_s=scan["invocations_per_second"],
+        speedup=speedup,
+        indexed_inv_per_s=indexed["arrivals"] / indexed["wall_seconds"],
+        scan_inv_per_s=scan["arrivals"] / scan["wall_seconds"],
         steals=indexed["steals"],
     )

@@ -30,14 +30,11 @@ Headline numbers (§1, §5)   :func:`headline_summary`
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
 import multiprocessing
 import random
-import resource
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.series import Series, SweepResult
 from repro.analysis.stats import OverheadSummary, relative_overhead_percent, summarize_overheads
@@ -2074,7 +2071,7 @@ def run_coldstart_comparison(
 
 
 # ---------------------------------------------------------------------------
-# Multi-seed fan-out and the million-request perf trace
+# Multi-seed fan-out and the diurnal perf trace
 # ---------------------------------------------------------------------------
 
 #: Tenants cycled by the perf trace.  Two keeps the per-tick windowed
@@ -2089,29 +2086,27 @@ def _perf_trace_caller(index: int) -> str:
 
 
 def run_replicated(
-    worker: Optional[Callable[[int], object]] = None,
+    worker: Callable[[int], object],
     *,
     seeds: Sequence[int],
     processes: Optional[int] = None,
 ) -> List[object]:
     """Run a per-seed experiment over every seed, optionally in parallel.
 
-    ``worker`` is a picklable (module-level) callable ``seed -> result``;
-    the default replays a reduced sketch-mode perf trace per seed (see
-    :func:`replicated_trace_worker`).  Results come back **in seed order**
+    ``worker`` is a picklable (module-level) callable ``seed -> result``,
+    e.g. :func:`traced_replica_worker`.  Results come back **in seed order**
     and are bit-identical whether computed serially (``processes`` is
     ``None``/``<= 1``) or fanned out across ``processes`` spawn-started
     worker processes: each seed's simulation is fully self-contained
     (its own platform, RNG streams and collectors), so the only thing a
     process boundary changes is where the arithmetic happens.
 
-    Results that carry sketches (the default worker returns the run's
-    e2e :class:`~repro.faas.sketch.LatencySketch`) can be pooled with
-    :func:`pooled_sketch_stats` — sketch-merge is lossless, so the pooled
-    percentiles equal those of a single sketch fed every seed's samples.
+    Results that carry sketches (a :func:`_perf_trace_run` summary holds
+    the run's e2e :class:`~repro.faas.sketch.LatencySketch`) can be
+    pooled with :func:`pooled_sketch_stats` — sketch-merge is lossless,
+    so the pooled percentiles equal those of a single sketch fed every
+    seed's samples.
     """
-    if worker is None:
-        worker = replicated_trace_worker
     seed_list = [int(seed) for seed in seeds]
     if not seed_list:
         raise ValueError("run_replicated needs at least one seed")
@@ -2120,17 +2115,6 @@ def run_replicated(
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(min(processes, len(seed_list))) as pool:
         return pool.map(worker, seed_list)
-
-
-def replicated_trace_worker(seed: int) -> Dict[str, object]:
-    """Default :func:`run_replicated` worker: one reduced perf-trace run.
-
-    Replays the perf-trace workload at 1/50 scale in sketch mode and
-    returns a plain picklable summary, including the run's end-to-end
-    :class:`~repro.faas.sketch.LatencySketch` so replicas can be pooled
-    by sketch-merge.
-    """
-    return _perf_trace_run("sketch", invocations=20_000, seed=seed)
 
 
 def pooled_sketch_stats(results: Sequence[Dict[str, object]]) -> LatencyStats:
@@ -2201,27 +2185,15 @@ def _perf_trace_run(
     actions: int = 8,
     load_factor: float = 0.7,
     cycles: int = 3,
-    trace_file: Optional[str] = None,
     tracing: str = "off",
-    export_trace: bool = False,
 ) -> Dict[str, object]:
     """Replay the synthetic multi-day Azure-shaped trace once.
 
     Builds the cluster, synthesises a ``cycles``-day diurnal arrival
     trace sized to at least ``invocations`` arrivals, replays it through
     the platform with the control plane ticking, and returns a plain
-    summary.  The measured wall-clock covers the replay and the final
-    end-to-end reduction, not trace synthesis (which is identical across
-    modes and not the subject of the comparison).
-
-    ``trace_file`` replaces the synthetic diurnal generator with a
-    *published* Azure Functions invocations-per-function CSV (see
-    :func:`~repro.faas.loadgen.load_azure_trace_csv`): the file's
-    heaviest functions map onto the deployed actions, its full timeline
-    is compressed onto the run's duration, and its aggregate rate is
-    rescaled to the cluster's offered load — so the tracked harness
-    replays real-trace shapes at any requested length through the same
-    measurement path as the synthetic baseline.
+    summary of simulated outcomes only; callers that compare host cost
+    (``benchmarks/``) time the call themselves.
     """
     profile = microbenchmark_profile(16, 2)
     offered = (
@@ -2247,24 +2219,15 @@ def _perf_trace_run(
         actions,
         action_names=balanced_action_names(actions, invokers=invokers, prefix="day"),
     )
-    if trace_file is not None:
-        offsets, sequence = load_azure_trace_csv(
-            trace_file,
-            deployed,
-            duration_seconds=duration,
-            rng=platform.rng_streams.stream("azure-trace"),
-            mean_rps=offered,
-        )
-    else:
-        offsets, sequence = azure_diurnal_arrivals(
-            deployed,
-            duration_seconds=duration,
-            mean_rps=offered,
-            rng=platform.rng_streams.stream("azure-trace"),
-            period_seconds=duration / cycles,
-            amplitude=0.6,
-            burst_fraction=0.05,
-        )
+    offsets, sequence = azure_diurnal_arrivals(
+        deployed,
+        duration_seconds=duration,
+        mean_rps=offered,
+        rng=platform.rng_streams.stream("azure-trace"),
+        period_seconds=duration / cycles,
+        amplitude=0.6,
+        burst_fraction=0.05,
+    )
     client = OpenLoopClient(
         platform,
         deployed,
@@ -2275,11 +2238,8 @@ def _perf_trace_run(
         keep_samples=False,
         lazy_trace=True,
     )
-    gc.collect()
-    started = time.perf_counter()
     result = client.run()
     stats = platform.metrics.e2e_stats()
-    wall = time.perf_counter() - started
     summary: Dict[str, object] = {
         "mode": mode,
         "seed": seed,
@@ -2290,11 +2250,8 @@ def _perf_trace_run(
         "cold_starts": sum(inv.cold_starts for inv in platform.invokers),
         "p99_ms": stats.p99 * 1000.0,
         "mean_ms": stats.mean * 1000.0,
-        "wall_seconds": wall,
-        "invocations_per_second": result.issued / wall if wall > 0 else 0.0,
         "duration_seconds": duration,
         "offered_rps": offered,
-        "trace_file": trace_file,
         "tracing": tracing,
         "e2e_sketch": _e2e_as_sketch(platform),
     }
@@ -2302,8 +2259,6 @@ def _perf_trace_run(
     if recorder is not None:
         summary["traces_recorded"] = len(recorder.invocations)
         summary["trace_digest"] = recorder.trace_digest()
-        if export_trace:
-            summary["trace_export"] = export_chrome_trace(recorder)
     return summary
 
 
@@ -2315,109 +2270,6 @@ def _e2e_as_sketch(platform: FaaSCluster) -> "LatencySketch":
     sketch = LatencySketch()
     sketch.extend(inv.e2e_seconds for inv in metrics.completed)
     return sketch
-
-
-def _peak_rss_mb() -> float:
-    """This process's peak resident set size, in MiB.
-
-    Prefers ``VmHWM`` from ``/proc/self/status``: it belongs to the
-    post-``exec`` address space, so a spawn-started child reports its
-    *own* peak.  ``ru_maxrss`` survives ``exec`` on Linux, so a child of
-    a fat parent (e.g. a long pytest session) would inherit the parent's
-    peak and flatten the exact-vs-sketch comparison.
-    """
-    try:
-        with open("/proc/self/status") as handle:
-            for line in handle:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0  # kB
-    except OSError:
-        pass
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    return usage.ru_maxrss / 1024.0  # Linux reports KiB
-
-
-def _perf_trace_worker(
-    job: Tuple[str, int, int, Optional[str]]
-) -> Dict[str, object]:
-    """Child-process entry: run one mode and report its own peak RSS.
-
-    Spawned fresh per job (``maxtasksperchild=1``), so the peak reflects
-    exactly this run's footprint — in exact mode that is the
-    retained-invocation heap the sketch mode exists to eliminate.
-    """
-    mode, invocations, seed, trace_file = job
-    summary = _perf_trace_run(
-        mode, invocations=invocations, seed=seed, trace_file=trace_file
-    )
-    summary["max_rss_mb"] = _peak_rss_mb()
-    summary.pop("e2e_sketch", None)
-    return summary
-
-
-def run_perf_trace(
-    *,
-    invocations: int = 1_000_000,
-    seed: int = 20230501,
-    processes: int = 1,
-    modes: Sequence[str] = ("exact", "sketch"),
-    trace_file: Optional[str] = None,
-) -> Dict[str, object]:
-    """The tracked perf baseline: exact vs sketch over the same trace.
-
-    Runs each metrics mode over the identical ``invocations``-arrival
-    diurnal trace in its **own spawn-started child process** (fresh
-    interpreter per mode, so peak-RSS numbers do not contaminate each
-    other), then cross-checks that simulated behaviour matched exactly —
-    equal goodput and cold-start counts — and reports the speedup, the
-    RSS ratio and the sketch's p99 relative error.  ``processes > 1``
-    runs the modes concurrently; the default measures them back to back
-    so wall-clocks are not perturbed by CPU contention.
-
-    ``trace_file`` swaps the synthetic diurnal trace for a published
-    Azure invocations-per-function CSV replayed at the same offered
-    load (see :func:`_perf_trace_run`); every cross-check applies
-    unchanged, since both modes replay the identical loaded trace.
-    """
-    jobs = [(mode, int(invocations), int(seed), trace_file) for mode in modes]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(max(1, processes), len(jobs)), maxtasksperchild=1) as pool:
-        if processes > 1:
-            summaries = pool.map(_perf_trace_worker, jobs)
-        else:
-            summaries = [pool.apply(_perf_trace_worker, (job,)) for job in jobs]
-    by_mode = {summary["mode"]: summary for summary in summaries}
-    report: Dict[str, object] = {
-        "benchmark": "perf-trace",
-        "invocations_requested": int(invocations),
-        "seed": int(seed),
-        "trace_file": trace_file,
-        "modes": by_mode,
-    }
-    if "exact" in by_mode and "sketch" in by_mode:
-        exact, sketch = by_mode["exact"], by_mode["sketch"]
-        report["speedup_sketch_vs_exact"] = (
-            exact["wall_seconds"] / sketch["wall_seconds"]
-            if sketch["wall_seconds"] > 0
-            else None
-        )
-        report["rss_ratio_exact_vs_sketch"] = (
-            exact["max_rss_mb"] / sketch["max_rss_mb"]
-            if sketch["max_rss_mb"] > 0
-            else None
-        )
-        report["p99_relative_error"] = (
-            abs(sketch["p99_ms"] - exact["p99_ms"]) / exact["p99_ms"]
-            if exact["p99_ms"] > 0
-            else None
-        )
-        report["equal_goodput"] = (
-            exact["goodput_fraction"] == sketch["goodput_fraction"]
-        )
-        report["equal_cold_starts"] = (
-            exact["cold_starts"] == sketch["cold_starts"]
-        )
-    return report
 
 
 def traced_replica_worker(seed: int) -> Dict[str, object]:
@@ -2441,137 +2293,12 @@ def traced_replica_worker(seed: int) -> Dict[str, object]:
     }
 
 
-#: The flight-recorder modes the tracing-overhead baseline compares.
-TRACING_OVERHEAD_MODES: Tuple[str, ...] = ("off", "sampled")
-
-
-def _tracing_overhead_worker(
-    job: Tuple[str, int, int, bool]
-) -> Dict[str, object]:
-    """Child-process entry: one tracing mode of the overhead comparison."""
-    tracing, invocations, seed, export_trace = job
-    summary = _perf_trace_run(
-        "sketch",
-        invocations=invocations,
-        seed=seed,
-        tracing=tracing,
-        export_trace=export_trace,
-    )
-    summary["max_rss_mb"] = _peak_rss_mb()
-    summary.pop("e2e_sketch", None)
-    return summary
-
-
-def run_tracing_overhead(
-    *,
-    invocations: int = 150_000,
-    seed: int = 20230501,
-    processes: int = 1,
-    modes: Sequence[str] = TRACING_OVERHEAD_MODES,
-    export_trace: bool = False,
-    repeats: int = 1,
-) -> Dict[str, object]:
-    """The flight recorder's perf section: tracing off vs sampled.
-
-    Replays the identical sketch-mode diurnal perf trace once per
-    tracing mode, each in its own spawn-started child (fresh interpreter
-    → uncontaminated wall-clock and RSS), then cross-checks that tracing
-    changed *nothing simulated* — equal goodput, cold starts and p99 —
-    and prices the recorder: ``sampled_cost_fraction`` is the throughput
-    lost to sampled tracing relative to the off mode **within this run
-    pair**, the number the regression gate bounds at 10%.  The off mode's
-    absolute throughput is additionally gated against the committed
-    baseline like every other perf section, which is what "the off path
-    is allocation-free" means operationally: no recorder exists, every
-    instrumentation site is one ``is None`` test, and the gate would
-    catch anything slower than noise.
-
-    ``export_trace`` attaches the sampled run's Chrome trace-event
-    export to the report under ``"trace_export"`` (CI uploads it as an
-    artifact); it is stripped before the report lands in a baseline
-    file.
-
-    ``repeats`` runs each mode that many times and reports the *best*
-    (highest-throughput) run per mode — min-of-N wall clock, the usual
-    defence against scheduler noise.  At full scale (10^5+ arrivals,
-    tens of seconds per run) a single pair is stable; at CI's quick
-    scale a run is ~2 s of wall clock and a single pair can swing the
-    apparent cost fraction by ±15 %, so the quick path repeats.  The
-    simulation is deterministic, so repeats differ only in timing —
-    every behavioural field is identical across them.
-    """
-    repeats = max(1, int(repeats))
-    jobs = [
-        (
-            mode,
-            int(invocations),
-            int(seed),
-            export_trace and mode != "off" and repeat == 0,
-        )
-        for mode in modes
-        for repeat in range(repeats)
-    ]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(max(1, processes), len(jobs)), maxtasksperchild=1) as pool:
-        if processes > 1:
-            summaries = pool.map(_tracing_overhead_worker, jobs)
-        else:
-            summaries = [
-                pool.apply(_tracing_overhead_worker, (job,)) for job in jobs
-            ]
-    export = None
-    by_mode: Dict[str, Dict[str, object]] = {}
-    for summary in summaries:
-        exported = summary.pop("trace_export", None)
-        if exported is not None:
-            export = exported
-        mode = str(summary["tracing"])
-        best = by_mode.get(mode)
-        if (
-            best is None
-            or summary["invocations_per_second"] > best["invocations_per_second"]
-        ):
-            by_mode[mode] = summary
-    report: Dict[str, object] = {
-        "benchmark": "tracing-overhead",
-        "invocations_requested": int(invocations),
-        "seed": int(seed),
-        "repeats": repeats,
-        "modes": by_mode,
-    }
-    if export is not None:
-        report["trace_export"] = export
-    if "off" in by_mode and "sampled" in by_mode:
-        off, sampled = by_mode["off"], by_mode["sampled"]
-        report["equal_goodput"] = (
-            off["goodput_fraction"] == sampled["goodput_fraction"]
-        )
-        report["equal_cold_starts"] = off["cold_starts"] == sampled["cold_starts"]
-        report["equal_p99"] = off["p99_ms"] == sampled["p99_ms"]
-        report["sampled_cost_fraction"] = (
-            1.0 - sampled["invocations_per_second"] / off["invocations_per_second"]
-            if off["invocations_per_second"] > 0
-            else None
-        )
-        report["traces_recorded"] = sampled.get("traces_recorded", 0)
-    return report
-
-
 # ---------------------------------------------------------------------------
-# Cluster-scale routing baseline: indexed vs scan
+# Cluster-scale routing trace: indexed vs scan
 # ---------------------------------------------------------------------------
 
-#: The tracked cluster-scale sweep: (invokers, actions) points.  The
-#: first point doubles as the CI quick shape; the 32×256 point is the
-#: acceptance gate for the indexed-routing speedup.
-CLUSTER_SCALE_POINTS: Tuple[Tuple[int, int], ...] = (
-    (16, 128),
-    (32, 256),
-    (64, 256),
-)
-
-#: The two routing implementations the baseline compares.  They make
-#: bit-identical decisions; only the per-request cost differs.
+#: The two routing implementations the cluster-scale trace compares.  They
+#: make bit-identical decisions; only the per-request cost differs.
 CLUSTER_SCALE_ROUTINGS: Tuple[str, ...] = ("scan", "indexed")
 
 
@@ -2631,8 +2358,9 @@ def _cluster_scale_run(
     The trace runs the cluster at ``load_factor`` of estimated capacity
     with diurnal swings and correlated bursts, so peaks genuinely
     saturate invokers and the work-stealing paths fire (steal counts are
-    part of the cross-checked behaviour).  Wall-clock covers the replay
-    only, as in :func:`_perf_trace_run`.
+    part of the cross-checked behaviour).  The incrementally maintained
+    :class:`~repro.faas.index.ClusterIndex` is checked against a
+    from-scratch recompute at the end of an indexed run.
     """
     profile = microbenchmark_profile(16, 2)
     offered = (
@@ -2669,15 +2397,10 @@ def _cluster_scale_run(
         keep_samples=False,
         lazy_trace=True,
     )
-    gc.collect()
-    started = time.perf_counter()
     result = client.run()
     stats = platform.metrics.e2e_stats()
-    wall = time.perf_counter() - started
     scheduler = platform.scheduler
     if scheduler.index is not None:
-        # Self-check: the incrementally maintained indices must equal a
-        # from-scratch recompute at the end of every tracked run.
         scheduler.index.verify()
     return {
         "routing": routing,
@@ -2691,98 +2414,16 @@ def _cluster_scale_run(
         "steals": scheduler.steals,
         "routed_per_invoker": list(scheduler.routed_per_invoker),
         "p99_ms": stats.p99 * 1000.0,
-        "wall_seconds": wall,
-        "invocations_per_second": result.issued / wall if wall > 0 else 0.0,
         "duration_seconds": duration,
         "offered_rps": offered,
     }
 
 
-def _cluster_scale_worker(
-    job: Tuple[str, int, int, int, int]
-) -> Dict[str, object]:
-    """Child-process entry: one routing mode of one sweep point."""
-    routing, invokers, actions, invocations, seed = job
-    summary = _cluster_scale_run(
-        routing,
-        invokers=invokers,
-        actions=actions,
-        invocations=invocations,
-        seed=seed,
-    )
-    summary["max_rss_mb"] = _peak_rss_mb()
-    return summary
-
-
-def run_cluster_scale(
-    *,
-    invocations: int = 30_000,
-    seed: int = 20230501,
-    processes: int = 1,
-    points: Sequence[Tuple[int, int]] = CLUSTER_SCALE_POINTS,
-) -> Dict[str, object]:
-    """The tracked cluster-scale routing baseline: indexed vs scan.
-
-    For each ``(invokers, actions)`` sweep point, replays the identical
-    warm-aware + work-stealing diurnal trace once per routing
-    implementation, each in its own spawn-started child process (as in
-    :func:`run_perf_trace`).  Cross-checks that the two implementations
-    simulated the *same cluster doing the same work* — equal goodput,
-    cold starts, steal counts, and per-invoker routing — and reports the
-    indexed-over-scan throughput speedup per point.
-    """
-    jobs = [
-        (routing, int(invokers), int(actions), int(invocations), int(seed))
-        for invokers, actions in points
-        for routing in CLUSTER_SCALE_ROUTINGS
-    ]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(max(1, processes), len(jobs)), maxtasksperchild=1) as pool:
-        if processes > 1:
-            summaries = pool.map(_cluster_scale_worker, jobs)
-        else:
-            summaries = [pool.apply(_cluster_scale_worker, (job,)) for job in jobs]
-    by_point: Dict[str, Dict[str, object]] = {}
-    for summary in summaries:
-        key = f"{summary['invokers']}x{summary['actions']}"
-        by_point.setdefault(key, {
-            "invokers": summary["invokers"],
-            "actions": summary["actions"],
-            "routing": {},
-        })["routing"][summary["routing"]] = summary
-    for key, point in by_point.items():
-        modes = point["routing"]
-        if set(modes) >= {"scan", "indexed"}:
-            scan, indexed = modes["scan"], modes["indexed"]
-            point["speedup_indexed_vs_scan"] = (
-                scan["wall_seconds"] / indexed["wall_seconds"]
-                if indexed["wall_seconds"] > 0
-                else None
-            )
-            point["equal_goodput"] = (
-                scan["goodput_fraction"] == indexed["goodput_fraction"]
-            )
-            point["equal_cold_starts"] = (
-                scan["cold_starts"] == indexed["cold_starts"]
-            )
-            point["equal_steals"] = scan["steals"] == indexed["steals"]
-            point["equal_routing"] = (
-                scan["routed_per_invoker"] == indexed["routed_per_invoker"]
-            )
-            point["equal_p99"] = scan["p99_ms"] == indexed["p99_ms"]
-    return {
-        "benchmark": "cluster-scale",
-        "invocations_requested": int(invocations),
-        "seed": int(seed),
-        "points": by_point,
-    }
-
-
 # ---------------------------------------------------------------------------
-# Warmth-spectrum baseline: restore-vs-boot under diurnal arrivals
+# Warmth-spectrum trace: restore-vs-boot under diurnal arrivals
 # ---------------------------------------------------------------------------
 
-#: The two regimes the warmth-spectrum baseline compares at equal live
+#: The two regimes the warmth-spectrum trace compares at equal live
 #: budget: keep-alive eviction *destroys* ("off", the PR 7 behaviour) vs
 #: *demotes to a restorable snapshot* ("on", the spectrum).
 WARMTH_SPECTRUM_REGIMES: Tuple[str, ...] = ("off", "on")
@@ -2912,10 +2553,7 @@ def _warmth_spectrum_run(
         caller_for=_perf_trace_caller,
         lazy_trace=True,
     )
-    gc.collect()
-    started = time.perf_counter()
     result = client.run()
-    wall = time.perf_counter() - started
     scheduler = platform.scheduler
     if scheduler.index is not None:
         scheduler.index.verify()
@@ -2963,8 +2601,6 @@ def _warmth_spectrum_run(
             restore_dispatch_times, rising
         ),
         "steals": scheduler.steals,
-        "wall_seconds": wall,
-        "invocations_per_second": result.issued / wall if wall > 0 else 0.0,
         "duration_seconds": duration,
         "offered_rps": offered,
     }
@@ -3019,83 +2655,6 @@ def run_trace_capture(
         summary["trace_out"] = trace_out
         summary["trace_events_written"] = len(export["traceEvents"])
     return summary
-
-
-def _warmth_spectrum_worker(
-    job: Tuple[str, int, int, str]
-) -> Dict[str, object]:
-    """Child-process entry: one warmth-spectrum regime, own peak RSS."""
-    regime, invocations, seed, mechanism = job
-    summary = _warmth_spectrum_run(
-        regime,
-        invocations=invocations,
-        seed=seed,
-        isolation_mechanism=mechanism,
-    )
-    summary["max_rss_mb"] = _peak_rss_mb()
-    return summary
-
-
-def run_warmth_spectrum(
-    *,
-    invocations: int = 150_000,
-    seed: int = 20230501,
-    processes: int = 1,
-    isolation_mechanism: str = "gh",
-) -> Dict[str, object]:
-    """The tracked restore-vs-boot baseline: spectrum on vs off, equal budget.
-
-    Replays the identical diurnal trace once per regime, each in its own
-    spawn-started child process (as in :func:`run_perf_trace`), and
-    reports the headline comparison: how many of the rising-edge cold
-    boots the spectrum converted into priced restores, and what that did
-    to tail latency at equal goodput.
-    """
-    jobs = [
-        (regime, int(invocations), int(seed), isolation_mechanism)
-        for regime in WARMTH_SPECTRUM_REGIMES
-    ]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(max(1, processes), len(jobs)), maxtasksperchild=1) as pool:
-        if processes > 1:
-            summaries = pool.map(_warmth_spectrum_worker, jobs)
-        else:
-            summaries = [pool.apply(_warmth_spectrum_worker, (job,)) for job in jobs]
-    by_regime = {summary["regime"]: summary for summary in summaries}
-    report: Dict[str, object] = {
-        "benchmark": "warmth-spectrum",
-        "invocations_requested": int(invocations),
-        "seed": int(seed),
-        "isolation_mechanism": isolation_mechanism,
-        "regimes": by_regime,
-    }
-    if set(by_regime) >= {"off", "on"}:
-        off, on = by_regime["off"], by_regime["on"]
-        report["equal_goodput"] = (
-            off["goodput_fraction"] == on["goodput_fraction"]
-        )
-        off_rising = off["rising_cold_starts"]
-        report["rising_cold_conversion"] = (
-            1.0 - on["rising_cold_starts"] / off_rising
-            if off_rising > 0
-            else None
-        )
-        report["majority_converted"] = (
-            off_rising > 0 and on["rising_cold_starts"] < off_rising / 2
-        )
-        report["restores_outnumber_boots"] = (
-            on["rising_restores"] > on["rising_cold_starts"]
-        )
-        off_p99, on_p99 = off["p99_ms"], on["p99_ms"]
-        report["p99_reduced"] = (
-            off_p99 is not None and on_p99 is not None and on_p99 < off_p99
-        )
-        report["p99_cut_fraction"] = (
-            1.0 - on_p99 / off_p99
-            if off_p99 and on_p99 is not None
-            else None
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ Usage (after installing the package)::
     python -m repro.cli tenant-fairness [--benchmark NAME] [--quota-factor 1.2]
     python -m repro.cli slo-control [--benchmark NAME]
                                     [--parts quota capacity forecast]
-    python -m repro.cli perf-trace [--invocations N] [--quick]
-                                   [--modes exact sketch]
-                                   [--output BENCH_perf.json]
-                                   [--trace-out trace.json]
     python -m repro.cli trace [--regime on|off] [--tracing sampled|full]
                               [--out trace.json]
+    python -m repro.cli lint [PATH ...] [--format human|json]
+                             [--show-suppressed]
+
+Host performance is not measured here: ``python3 perfbench/run.py``
+replays the workloads declared in ``BENCHMARK.json``, and
+``python3 perfbench/smoke.py`` checks them at tiny scale.
 
 The heavier experiment drivers (full latency/throughput suites, sweeps,
 ablations) are exposed through the benchmark harness under ``benchmarks/``;
@@ -30,25 +32,19 @@ this CLI covers the quick, interactive entry points.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
 from repro.analysis.experiments import (
-    CLUSTER_SCALE_POINTS,
     LOAD_STRATEGIES,
     estimate_cluster_capacity_rps,
     measure_cluster_throughput,
     measure_latency_under_load,
     measure_restores,
-    run_cluster_scale,
     run_lifecycle,
-    run_perf_trace,
     run_slo_control,
     run_tenant_fairness,
     run_trace_capture,
-    run_tracing_overhead,
-    run_warmth_spectrum,
 )
 from repro.analysis.tables import render_table
 from repro.baselines.registry import create_mechanism
@@ -61,7 +57,6 @@ from repro.sim.rng import fallback_stream
 from repro.config import (
     ADMISSION_POLICIES,
     ISOLATION_MECHANISMS,
-    METRICS_MODES,
     PLANNER_KINDS,
     SCHEDULER_POLICIES,
     TRACING_MODES,
@@ -436,298 +431,6 @@ def cmd_slo_control(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``perf-trace --shape`` choices: which tracked traces to (re)measure.
-PERF_TRACE_SHAPES = (
-    "metrics", "cluster-scale", "warmth-spectrum", "tracing-overhead", "all"
-)
-
-#: ``--quick`` arrivals per cluster-scale point: the CI smoke scale.
-CLUSTER_SCALE_QUICK_INVOCATIONS = 8_000
-
-#: ``--quick`` arrivals for the warmth-spectrum trace: the CI smoke scale.
-WARMTH_SPECTRUM_QUICK_INVOCATIONS = 20_000
-
-#: ``--quick`` arrivals for the tracing-overhead pair: the CI smoke scale.
-TRACING_OVERHEAD_QUICK_INVOCATIONS = 20_000
-
-#: ``--quick`` repeats per tracing mode (best-of-N): a single ~2 s run
-#: pair is too noisy to support the 10% sampled-cost ceiling, so the CI
-#: quick shape takes the best of three runs per mode.
-TRACING_OVERHEAD_QUICK_REPEATS = 3
-
-
-def _run_perf_trace_metrics(args: argparse.Namespace) -> dict:
-    """The metrics shape of ``perf-trace``: exact vs sketch bookkeeping."""
-    invocations = 100_000 if args.quick else args.invocations
-    report = run_perf_trace(
-        invocations=invocations,
-        seed=args.seed,
-        processes=args.processes,
-        modes=tuple(args.modes),
-        trace_file=args.trace_file,
-    )
-    report["quick"] = bool(args.quick)
-    rows = [
-        [
-            summary["mode"],
-            str(summary["arrivals"]),
-            f"{summary['wall_seconds']:.1f}",
-            f"{summary['invocations_per_second']:.0f}",
-            f"{summary['max_rss_mb']:.0f}",
-            f"{summary['goodput_fraction'] * 100:.2f}%",
-            str(summary["cold_starts"]),
-            f"{summary['p99_ms']:.1f}",
-        ]
-        for summary in report["modes"].values()
-    ]
-    source = (
-        f"replayed from {args.trace_file}"
-        if args.trace_file
-        else "over a 3-cycle diurnal trace"
-    )
-    print(render_table(
-        ["metrics mode", "arrivals", "wall (s)", "arrivals/s",
-         "peak RSS (MB)", "goodput", "cold starts", "p99 (ms)"],
-        rows,
-        title=(
-            f"perf-trace — {invocations:,} requested arrivals {source} "
-            "(each mode in its own process)"
-        ),
-    ))
-    if "speedup_sketch_vs_exact" in report:
-        print(
-            f"sketch vs exact: {report['speedup_sketch_vs_exact']:.2f}x faster, "
-            f"{report['rss_ratio_exact_vs_sketch']:.2f}x smaller peak RSS, "
-            f"p99 relative error {report['p99_relative_error'] * 100:.3f}% "
-            f"(behaviour identical: goodput equal={report['equal_goodput']}, "
-            f"cold starts equal={report['equal_cold_starts']})"
-        )
-    return report
-
-
-def _run_perf_trace_cluster_scale(args: argparse.Namespace) -> dict:
-    """The cluster-scale shape of ``perf-trace``: indexed vs scan routing."""
-    invocations = (
-        CLUSTER_SCALE_QUICK_INVOCATIONS if args.quick else args.cluster_invocations
-    )
-    points = CLUSTER_SCALE_POINTS[:1] if args.quick else CLUSTER_SCALE_POINTS
-    report = run_cluster_scale(
-        invocations=invocations,
-        seed=args.seed,
-        processes=args.processes,
-        points=points,
-    )
-    report["quick"] = bool(args.quick)
-    rows = []
-    for key, point in report["points"].items():
-        for summary in point["routing"].values():
-            rows.append([
-                key,
-                summary["routing"],
-                str(summary["arrivals"]),
-                f"{summary['wall_seconds']:.1f}",
-                f"{summary['invocations_per_second']:.0f}",
-                f"{summary['max_rss_mb']:.0f}",
-                str(summary["steals"]),
-                str(summary["cold_starts"]),
-                f"{summary['goodput_fraction'] * 100:.2f}%",
-            ])
-    print(render_table(
-        ["invokers x actions", "routing", "arrivals", "wall (s)", "arrivals/s",
-         "peak RSS (MB)", "steals", "cold starts", "goodput"],
-        rows,
-        title=(
-            f"cluster-scale — {invocations:,} requested arrivals per point, "
-            "warm-aware routing + work stealing (each run in its own process)"
-        ),
-    ))
-    for key, point in report["points"].items():
-        if "speedup_indexed_vs_scan" in point:
-            identical = all(
-                point[flag]
-                for flag in ("equal_goodput", "equal_cold_starts",
-                             "equal_steals", "equal_routing", "equal_p99")
-            )
-            print(
-                f"{key}: indexed routing {point['speedup_indexed_vs_scan']:.2f}x "
-                f"faster than scan (behaviour identical={identical})"
-            )
-    return report
-
-
-def _run_perf_trace_warmth(args: argparse.Namespace) -> dict:
-    """The warmth-spectrum shape of ``perf-trace``: restore vs boot."""
-    invocations = (
-        WARMTH_SPECTRUM_QUICK_INVOCATIONS if args.quick else args.warmth_invocations
-    )
-    report = run_warmth_spectrum(
-        invocations=invocations,
-        seed=args.seed,
-        processes=args.processes,
-        isolation_mechanism=args.isolation_mechanism,
-    )
-    report["quick"] = bool(args.quick)
-    rows = [
-        [
-            summary["regime"],
-            str(summary["arrivals"]),
-            str(summary["cold_dispatches"]),
-            str(summary["restore_dispatches"]),
-            str(summary["warm_hits"]),
-            str(summary["rising_cold_starts"]),
-            str(summary["rising_restores"]),
-            f"{summary['goodput_fraction'] * 100:.2f}%",
-            f"{summary['p99_ms']:.1f}" if summary["p99_ms"] is not None else "-",
-            f"{summary['wall_seconds']:.1f}",
-        ]
-        for summary in report["regimes"].values()
-    ]
-    print(render_table(
-        ["spectrum", "arrivals", "cold disp", "restore disp", "warm hits",
-         "rising cold boots", "rising restores", "goodput", "p99 (ms)",
-         "wall (s)"],
-        rows,
-        title=(
-            f"warmth-spectrum — {invocations:,} requested arrivals, diurnal "
-            f"trace, restores priced as {args.isolation_mechanism} "
-            "(each regime in its own process)"
-        ),
-    ))
-    if "rising_cold_conversion" in report:
-        conversion = report["rising_cold_conversion"]
-        cut = report["p99_cut_fraction"]
-        print(
-            "spectrum on vs off: "
-            f"{conversion * 100:.0f}% of rising-edge cold boots converted "
-            f"to restores, p99 {'-' if cut is None else f'{cut * 100:.0f}%'} "
-            f"lower at equal goodput={report['equal_goodput']}"
-        )
-    return report
-
-
-def _run_perf_trace_tracing(args: argparse.Namespace) -> dict:
-    """The tracing-overhead shape of ``perf-trace``: recorder off vs sampled."""
-    invocations = (
-        TRACING_OVERHEAD_QUICK_INVOCATIONS
-        if args.quick
-        else args.tracing_invocations
-    )
-    report = run_tracing_overhead(
-        invocations=invocations,
-        seed=args.seed,
-        processes=args.processes,
-        export_trace=args.trace_out is not None,
-        repeats=TRACING_OVERHEAD_QUICK_REPEATS if args.quick else 1,
-    )
-    report["quick"] = bool(args.quick)
-    export = report.pop("trace_export", None)
-    if args.trace_out is not None and export is not None:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump(export, handle, separators=(",", ":"))
-            handle.write("\n")
-        print(
-            f"wrote {args.trace_out} "
-            f"({len(export['traceEvents'])} trace events)"
-        )
-    rows = [
-        [
-            summary["tracing"],
-            str(summary["arrivals"]),
-            f"{summary['wall_seconds']:.1f}",
-            f"{summary['invocations_per_second']:.0f}",
-            f"{summary['max_rss_mb']:.0f}",
-            f"{summary['goodput_fraction'] * 100:.2f}%",
-            str(summary["cold_starts"]),
-            str(summary.get("traces_recorded", 0)),
-        ]
-        for summary in report["modes"].values()
-    ]
-    print(render_table(
-        ["tracing", "arrivals", "wall (s)", "arrivals/s", "peak RSS (MB)",
-         "goodput", "cold starts", "traces kept"],
-        rows,
-        title=(
-            f"tracing-overhead — {invocations:,} requested arrivals over "
-            "the diurnal metrics trace (each mode in its own process"
-            + (
-                f", best of {report['repeats']} runs per mode)"
-                if report.get("repeats", 1) > 1
-                else ")"
-            )
-        ),
-    ))
-    if "sampled_cost_fraction" in report:
-        cost = report["sampled_cost_fraction"]
-        identical = all(
-            report[flag]
-            for flag in ("equal_goodput", "equal_cold_starts", "equal_p99")
-        )
-        print(
-            f"sampled tracing cost: "
-            f"{'-' if cost is None else f'{cost * 100:.1f}%'} throughput "
-            f"vs off ({report['traces_recorded']} traces kept, simulated "
-            f"behaviour identical={identical})"
-        )
-    return report
-
-
-def _merge_perf_sections(path: str, sections: dict) -> dict:
-    """Merge freshly measured sections into the baseline file's contents.
-
-    The baseline JSON keeps the metrics report at top level (its historic
-    layout) with the cluster-scale, warmth-spectrum and tracing-overhead
-    reports nested under ``cluster_scale`` / ``warmth_spectrum`` /
-    ``tracing_overhead``.  Shapes that did not run this invocation are
-    preserved from the existing file, so ``--shape cluster-scale`` does
-    not clobber the tracked metrics baseline and vice versa.
-    """
-    existing: dict = {}
-    try:
-        with open(path) as handle:
-            existing = json.load(handle)
-    except (OSError, ValueError):
-        existing = {}
-    metrics = sections.get("metrics")
-    if metrics is None:
-        merged = dict(existing)
-    else:
-        merged = dict(metrics)
-        for nested in ("cluster_scale", "warmth_spectrum", "tracing_overhead"):
-            if nested in existing:
-                merged[nested] = existing[nested]
-    cluster = sections.get("cluster-scale")
-    if cluster is not None:
-        merged["cluster_scale"] = cluster
-    warmth = sections.get("warmth-spectrum")
-    if warmth is not None:
-        merged["warmth_spectrum"] = warmth
-    tracing = sections.get("tracing-overhead")
-    if tracing is not None:
-        merged["tracing_overhead"] = tracing
-    return merged
-
-
-def cmd_perf_trace(args: argparse.Namespace) -> int:
-    """Replay the tracked perf traces and persist the baseline."""
-    shapes = PERF_TRACE_SHAPES[:-1] if args.shape == "all" else (args.shape,)
-    sections: dict = {}
-    if "metrics" in shapes:
-        sections["metrics"] = _run_perf_trace_metrics(args)
-    if "cluster-scale" in shapes:
-        sections["cluster-scale"] = _run_perf_trace_cluster_scale(args)
-    if "warmth-spectrum" in shapes:
-        sections["warmth-spectrum"] = _run_perf_trace_warmth(args)
-    if "tracing-overhead" in shapes:
-        sections["tracing-overhead"] = _run_perf_trace_tracing(args)
-    if args.output:
-        merged = _merge_perf_sections(args.output, sections)
-        with open(args.output, "w") as handle:
-            json.dump(merged, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    return 0
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     """Record a traced run and print its phase-level latency decomposition."""
     try:
@@ -979,71 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "planner decision audits included "
                                      "(requires --tracing sampled or full)")
     control_parser.set_defaults(func=cmd_slo_control)
-
-    perf_parser = subparsers.add_parser(
-        "perf-trace",
-        help="replay the tracked perf traces (exact-vs-sketch metrics, "
-             "indexed-vs-scan cluster-scale routing) and persist the "
-             "perf baseline",
-    )
-    perf_parser.add_argument("--shape", choices=PERF_TRACE_SHAPES,
-                             default="metrics",
-                             help="which tracked trace to measure: the "
-                                  "metrics-bookkeeping trace, the "
-                                  "cluster-scale routing sweep, the "
-                                  "warmth-spectrum restore-vs-boot "
-                                  "comparison, or all of them")
-    perf_parser.add_argument("--invocations", type=int, default=1_000_000,
-                             help="arrivals in the synthetic metrics trace "
-                                  "(default: 1,000,000)")
-    perf_parser.add_argument("--cluster-invocations", type=int, default=30_000,
-                             help="arrivals per cluster-scale sweep point "
-                                  "(default: 30,000; the scan comparator "
-                                  "replays every point too)")
-    perf_parser.add_argument("--warmth-invocations", type=int, default=150_000,
-                             help="arrivals in the warmth-spectrum trace "
-                                  "(default: 150,000; the spectrum-off "
-                                  "comparator replays them too)")
-    perf_parser.add_argument("--tracing-invocations", type=int,
-                             default=150_000,
-                             help="arrivals in the tracing-overhead pair "
-                                  "(default: 150,000; the off comparator "
-                                  "replays them too)")
-    perf_parser.add_argument("--isolation-mechanism",
-                             choices=ISOLATION_MECHANISMS, default="gh",
-                             help="mechanism whose cost model prices the "
-                                  "warmth-spectrum snapshot restores "
-                                  "(default: gh)")
-    perf_parser.add_argument("--quick", action="store_true",
-                             help="CI smoke scale: 100,000 metrics arrivals "
-                                  f"/ {CLUSTER_SCALE_QUICK_INVOCATIONS:,} "
-                                  "cluster-scale arrivals on the first "
-                                  f"sweep point only / "
-                                  f"{WARMTH_SPECTRUM_QUICK_INVOCATIONS:,} "
-                                  "warmth-spectrum arrivals")
-    perf_parser.add_argument("--trace-file", default=None,
-                             help="replay a published Azure Functions "
-                                  "invocations-per-function CSV through the "
-                                  "metrics trace instead of the synthetic "
-                                  "diurnal generator")
-    perf_parser.add_argument("--seed", type=int, default=20230501)
-    perf_parser.add_argument("--processes", type=int, default=1,
-                             help="how many mode runs to execute "
-                                  "concurrently (each always gets its own "
-                                  "process; >1 trades timing fidelity for "
-                                  "wall-clock)")
-    perf_parser.add_argument("--modes", nargs="+", choices=METRICS_MODES,
-                             default=list(METRICS_MODES),
-                             help="metrics modes to measure")
-    perf_parser.add_argument("--output", default="BENCH_perf.json",
-                             help="where to write the JSON baseline "
-                                  "('' disables; default: BENCH_perf.json)")
-    perf_parser.add_argument("--trace-out", default=None,
-                             help="with the tracing-overhead shape: also "
-                                  "export the sampled run's Chrome "
-                                  "trace-event JSON here (CI uploads it "
-                                  "as an artifact)")
-    perf_parser.set_defaults(func=cmd_perf_trace)
 
     trace_parser = subparsers.add_parser(
         "trace",

@@ -2,9 +2,9 @@
 
 The determinism rules protect the *sim domain* — code whose behaviour must
 be a pure function of ``(config, seed)``.  The harness around it (the
-experiment drivers that measure real RSS and wall-clock throughput, the
-CLI/config boundary where environment knobs legitimately enter, the
-benchmark and script layers) intentionally touches the outside world, so
+CLI/config boundary where environment knobs legitimately enter, and the
+benchmark, script, example and test layers, where benchmarks time real
+runs) intentionally touches the outside world, so
 each waiver below names the rule it relaxes, the path glob it applies to,
 and the reason — the table is the checked-in review artefact, the exact
 analogue of an inline ``# detlint: ignore[...]`` with a written
@@ -47,20 +47,12 @@ def _harness_entries(rule_id: str, reason: str) -> Tuple[PolicyEntry, ...]:
 #: The checked-in waiver table.  Keep it short: every entry here is a hole
 #: in the lint, and a new entry needs the same scrutiny as a suppression.
 DEFAULT_POLICY: Tuple[PolicyEntry, ...] = (
-    # The perf harness measures *real* wall-clock throughput and RSS; that
-    # is its job, not a determinism leak — the simulated results it
-    # cross-checks remain pure functions of (config, seed).
-    PolicyEntry(
-        "D001",
-        "src/repro/analysis/experiments.py",
-        "perf harness: measures real wall-clock throughput and RSS",
-    ),
     *_harness_entries(
         "D001", "harness layer: real-time measurement is the point"
     ),
     # Configuration (and therefore environment knobs like
-    # REPRO_BENCH_QUICK / REPRO_PERF_TOLERANCE) enters through the
-    # config/CLI boundary and the harness only.
+    # REPRO_BENCH_QUICK) enters through the config/CLI boundary and the
+    # harness only.
     PolicyEntry(
         "D006", "src/repro/config.py", "config boundary: env knobs enter here"
     ),
@@ -68,7 +60,7 @@ DEFAULT_POLICY: Tuple[PolicyEntry, ...] = (
         "D006", "src/repro/cli.py", "CLI boundary: env knobs enter here"
     ),
     *_harness_entries(
-        "D006", "harness layer: env knobs (bench scale, tolerances) enter here"
+        "D006", "harness layer: env knobs (bench scale) enter here"
     ),
     # Scripts and benchmarks are one-shot processes: module-level tables
     # cannot leak state across simulations the way sim-domain globals can.

@@ -261,19 +261,22 @@ class ClusterIndex:
         return self._loads[position]
 
     def verify(self) -> None:
-        """Assert every index structure against a from-scratch recompute.
+        """Check every index structure against a from-scratch recompute.
 
-        Test hook: raises ``AssertionError`` on the first divergence
-        between the incrementally maintained state and the ground truth
-        recomputed from the invokers.
+        Raises ``AssertionError`` on the first divergence between the
+        incrementally maintained state and the ground truth recomputed
+        from the invokers.  The checks are explicit ``raise`` statements,
+        not ``assert``, so they still run under ``python -O``.
         """
         for position, invoker in enumerate(self.invokers):
-            assert self._loads[position] == invoker.load, (
-                f"load index stale at {position}: "
-                f"{self._loads[position]} != {invoker.load}"
-            )
+            if self._loads[position] != invoker.load:
+                raise AssertionError(
+                    f"load index stale at {position}: "
+                    f"{self._loads[position]} != {invoker.load}"
+                )
         live = {(self._loads[pos], pos) for pos in range(len(self._loads))}
-        assert live <= set(self._heap), "heap lost a live (load, position) entry"
+        if not live <= set(self._heap):
+            raise AssertionError("heap lost a live (load, position) entry")
         warm: Dict[str, Set[int]] = {}
         snapshots: Dict[str, Set[int]] = {}
         depths: Dict[str, Dict[int, int]] = {}
@@ -286,10 +289,13 @@ class ClusterIndex:
                     snapshots.setdefault(action, set()).add(position)
                 if len(pool.queue) > 0:
                     depths.setdefault(action, {})[position] = len(pool.queue)
-        assert warm == self._warm, f"warm sets diverged: {warm} != {self._warm}"
-        assert snapshots == self._snapshots, (
-            f"snapshot sets diverged: {snapshots} != {self._snapshots}"
-        )
-        assert depths == self._depths, (
-            f"depth maps diverged: {depths} != {self._depths}"
-        )
+        if warm != self._warm:
+            raise AssertionError(f"warm sets diverged: {warm} != {self._warm}")
+        if snapshots != self._snapshots:
+            raise AssertionError(
+                f"snapshot sets diverged: {snapshots} != {self._snapshots}"
+            )
+        if depths != self._depths:
+            raise AssertionError(
+                f"depth maps diverged: {depths} != {self._depths}"
+            )

@@ -1,4 +1,4 @@
-"""Integration tests for the perf-trace stack (sketch mode + fan-out).
+"""Integration tests for the perf trace drivers (sketch mode + fan-out).
 
 End-to-end claims from the bounded-metrics and indexed-routing work are
 pinned here:
@@ -12,16 +12,13 @@ pinned here:
   results whether the per-seed runs execute serially in-process or
   fanned out across spawn-started worker processes, and the per-seed
   sketches pool losslessly.
-* **Published-trace replay** — ``perf-trace --trace-file`` drives the
-  same measurement path from a real Azure Functions CSV instead of the
-  synthetic diurnal generator, deterministically.
-* **Cluster-scale routing parity** — the ``--shape cluster-scale``
-  harness runs bit-identical simulations under indexed and scan
-  routing (the acceptance contract of the cluster index).
+* **Cluster-scale routing parity** — the cluster-scale trace runs
+  bit-identical simulations under indexed and scan routing (the
+  acceptance contract of the cluster index).
 
-All use reduced scales; the full-size numbers live in
-``benchmarks/test_bench_perf_trace.py``,
-``benchmarks/test_bench_cluster_index.py`` and ``BENCH_perf.json``.
+All use reduced scales; the larger runs, with their wall-clock speedup
+floors, live in ``benchmarks/test_bench_perf_trace.py`` and
+``benchmarks/test_bench_cluster_index.py``.
 """
 
 from __future__ import annotations
@@ -40,16 +37,8 @@ from repro.workloads import find_benchmark
 
 
 def _small_trace_worker(seed: int):
-    """Module-level (picklable) reduced perf-trace run for fan-out tests."""
+    """Module-level (picklable) reduced perf trace run for fan-out tests."""
     return _perf_trace_run("sketch", invocations=2_500, seed=seed)
-
-
-def _drop_timing(result):
-    """Strip wall-clock fields (the only legitimately nondeterministic ones)."""
-    cleaned = dict(result)
-    cleaned.pop("wall_seconds", None)
-    cleaned.pop("invocations_per_second", None)
-    return cleaned
 
 
 class TestForecastVerdictParity:
@@ -105,10 +94,10 @@ class TestReplicatedFanOut:
         )
         assert len(serial) == len(fanned) == len(self.SEEDS)
         for mine, theirs in zip(serial, fanned):
-            # Everything except wall-clock timing — including the e2e
-            # sketch (integer bucket counts, exact __eq__) — matches
-            # bit-for-bit across the process boundary.
-            assert _drop_timing(mine) == _drop_timing(theirs)
+            # Everything — including the e2e sketch (integer bucket
+            # counts, exact __eq__) — matches bit-for-bit across the
+            # process boundary.
+            assert mine == theirs
 
     def test_seeds_actually_differentiate_runs(self):
         a, b = run_replicated(_small_trace_worker, seeds=(101, 202))
@@ -136,64 +125,6 @@ class TestReplicatedFanOut:
     def test_empty_seed_list_raises(self):
         with pytest.raises(ValueError):
             run_replicated(_small_trace_worker, seeds=())
-
-
-def _write_azure_csv(path, rows):
-    """A minimal invocations-per-function CSV in the published layout."""
-    minutes = len(rows[0][1])
-    header = ["HashOwner", "HashApp", "HashFunction", "Trigger"] + [
-        str(minute + 1) for minute in range(minutes)
-    ]
-    lines = [",".join(header)]
-    for name, counts in rows:
-        lines.append(
-            ",".join(["owner", "app", name, "http"] + [str(c) for c in counts])
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-class TestAzureTraceReplay:
-    def test_trace_file_drives_the_perf_trace_harness(self, tmp_path):
-        csv_path = tmp_path / "invocations_per_function.csv"
-        # Ten "minutes" with a mid-trace hump, heaviest function first.
-        _write_azure_csv(csv_path, [
-            ("fn-heavy", [5, 8, 20, 40, 60, 60, 40, 20, 8, 5]),
-            ("fn-light", [1, 1, 2, 4, 6, 6, 4, 2, 1, 1]),
-        ])
-        result = _perf_trace_run(
-            "sketch", invocations=2_000, seed=7, trace_file=str(csv_path)
-        )
-        assert result["trace_file"] == str(csv_path)
-        assert result["arrivals"] > 0
-        assert result["completed"] > 0
-        assert 0.0 < result["goodput_fraction"] <= 1.0
-
-    def test_trace_file_replay_is_deterministic(self, tmp_path):
-        csv_path = tmp_path / "trace.csv"
-        _write_azure_csv(csv_path, [
-            ("fn-a", [10, 30, 50, 30, 10]),
-            ("fn-b", [2, 6, 10, 6, 2]),
-        ])
-        first = _perf_trace_run(
-            "sketch", invocations=1_500, seed=11, trace_file=str(csv_path)
-        )
-        second = _perf_trace_run(
-            "sketch", invocations=1_500, seed=11, trace_file=str(csv_path)
-        )
-        assert _drop_timing(first) == _drop_timing(second)
-
-    def test_trace_file_changes_the_arrival_pattern(self, tmp_path):
-        # Same seed, synthetic vs file-driven: different traces, same
-        # measurement path.
-        csv_path = tmp_path / "trace.csv"
-        _write_azure_csv(csv_path, [("fn-a", [0, 0, 100, 0, 0])])
-        synthetic = _perf_trace_run("sketch", invocations=1_500, seed=11)
-        replayed = _perf_trace_run(
-            "sketch", invocations=1_500, seed=11, trace_file=str(csv_path)
-        )
-        assert synthetic["trace_file"] is None
-        assert replayed["trace_file"] == str(csv_path)
-        assert replayed["e2e_sketch"] != synthetic["e2e_sketch"]
 
 
 class TestClusterScaleParity:

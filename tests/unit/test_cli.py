@@ -172,123 +172,6 @@ class TestCli:
             main(["demo-leak", "--benchmark", "get-time"])
 
 
-class TestPerfTraceCli:
-    def test_shape_choices_and_defaults(self):
-        parser = build_parser()
-        args = parser.parse_args(["perf-trace"])
-        assert args.shape == "metrics"
-        assert args.trace_file is None
-        assert args.cluster_invocations == 30_000
-        args = parser.parse_args(["perf-trace", "--shape", "cluster-scale"])
-        assert args.shape == "cluster-scale"
-        args = parser.parse_args(["perf-trace", "--shape", "warmth-spectrum"])
-        assert args.shape == "warmth-spectrum"
-        assert args.warmth_invocations == 150_000
-        assert args.isolation_mechanism == "gh"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["perf-trace", "--shape", "bogus"])
-        with pytest.raises(SystemExit):
-            parser.parse_args(["perf-trace", "--isolation-mechanism", "bogus"])
-
-    def test_merge_preserves_sections_not_regenerated(self, tmp_path):
-        import json
-
-        from repro.cli import _merge_perf_sections
-
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps({
-            "benchmark": "perf-trace",
-            "modes": {"exact": {"invocations_per_second": 1.0}},
-            "cluster_scale": {"benchmark": "cluster-scale", "points": {}},
-            "warmth_spectrum": {"benchmark": "warmth-spectrum", "regimes": {}},
-        }))
-        # Regenerating only the metrics shape keeps the other sections.
-        merged = _merge_perf_sections(str(path), {
-            "metrics": {"benchmark": "perf-trace", "modes": {}},
-        })
-        assert merged["modes"] == {}
-        assert merged["cluster_scale"]["benchmark"] == "cluster-scale"
-        assert merged["warmth_spectrum"]["benchmark"] == "warmth-spectrum"
-        # Regenerating only the cluster shape keeps the metrics section.
-        merged = _merge_perf_sections(str(path), {
-            "cluster-scale": {"benchmark": "cluster-scale", "points": {"a": 1}},
-        })
-        assert merged["modes"] == {"exact": {"invocations_per_second": 1.0}}
-        assert merged["cluster_scale"]["points"] == {"a": 1}
-        assert merged["warmth_spectrum"]["benchmark"] == "warmth-spectrum"
-        # Regenerating only the warmth shape keeps everything else.
-        merged = _merge_perf_sections(str(path), {
-            "warmth-spectrum": {
-                "benchmark": "warmth-spectrum", "regimes": {"on": {}},
-            },
-        })
-        assert merged["modes"] == {"exact": {"invocations_per_second": 1.0}}
-        assert merged["cluster_scale"]["benchmark"] == "cluster-scale"
-        assert merged["warmth_spectrum"]["regimes"] == {"on": {}}
-        # All regenerated: nothing survives from the file.
-        merged = _merge_perf_sections(str(path), {
-            "metrics": {"benchmark": "perf-trace", "modes": {"m": {}}},
-            "cluster-scale": {"benchmark": "cluster-scale", "points": {}},
-            "warmth-spectrum": {"benchmark": "warmth-spectrum", "regimes": {}},
-        })
-        assert merged["modes"] == {"m": {}}
-        assert merged["cluster_scale"]["points"] == {}
-        assert merged["warmth_spectrum"]["regimes"] == {}
-
-    def test_merge_tolerates_missing_or_corrupt_baseline(self, tmp_path):
-        from repro.cli import _merge_perf_sections
-
-        missing = tmp_path / "nope.json"
-        merged = _merge_perf_sections(str(missing), {
-            "cluster-scale": {"benchmark": "cluster-scale", "points": {}},
-        })
-        assert set(merged) == {"cluster_scale"}
-        corrupt = tmp_path / "bad.json"
-        corrupt.write_text("{not json")
-        merged = _merge_perf_sections(str(corrupt), {
-            "metrics": {"benchmark": "perf-trace", "modes": {}},
-        })
-        assert merged == {"benchmark": "perf-trace", "modes": {}}
-
-    def test_merge_preserves_tracing_overhead_section(self, tmp_path):
-        import json
-
-        from repro.cli import _merge_perf_sections
-
-        path = tmp_path / "BENCH_perf.json"
-        path.write_text(json.dumps({
-            "benchmark": "perf-trace",
-            "modes": {"exact": {"invocations_per_second": 1.0}},
-            "tracing_overhead": {
-                "benchmark": "tracing-overhead", "modes": {"off": {}},
-            },
-        }))
-        # Regenerating only the metrics shape keeps tracing_overhead.
-        merged = _merge_perf_sections(str(path), {
-            "metrics": {"benchmark": "perf-trace", "modes": {}},
-        })
-        assert merged["tracing_overhead"]["benchmark"] == "tracing-overhead"
-        # Regenerating only tracing-overhead keeps the metrics section.
-        merged = _merge_perf_sections(str(path), {
-            "tracing-overhead": {
-                "benchmark": "tracing-overhead", "modes": {"sampled": {}},
-            },
-        })
-        assert merged["modes"] == {"exact": {"invocations_per_second": 1.0}}
-        assert merged["tracing_overhead"]["modes"] == {"sampled": {}}
-
-    def test_tracing_overhead_shape_parses(self):
-        parser = build_parser()
-        args = parser.parse_args(["perf-trace", "--shape", "tracing-overhead"])
-        assert args.shape == "tracing-overhead"
-        assert args.tracing_invocations == 150_000
-        assert args.trace_out is None
-        args = parser.parse_args([
-            "perf-trace", "--shape", "all", "--trace-out", "t.json",
-        ])
-        assert args.trace_out == "t.json"
-
-
 class TestTraceCli:
     def test_trace_command_prints_decomposition(self, capsys):
         assert main(["trace", "--invocations", "2000"]) == 0

@@ -4,13 +4,20 @@ Covers the index structures directly (lazy heap, warm sets, queue-depth
 maps, compaction), the invoker surfaces that feed them (O(1) load,
 dirty-flag snapshot caching, Counter-based tenant aggregation), and the
 scheduler's indexed query paths against their scan references
-(least-loaded argmin, warm-aware scoring, steal-victim search).
+(least-loaded argmin, warm-aware scoring, steal-victim search), and the
+``verify`` self-check that compares the index with a recompute.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from typing import List
 
+import pytest
+
+import repro
 from repro.faas.action import ActionSpec
 from repro.faas.index import ClusterIndex, _HEAP_SLACK_FACTOR
 from repro.faas.invoker import Invoker
@@ -282,3 +289,45 @@ class TestInvokerSurfaces:
         # occupies a core (one per invoker per action at most here).
         running = sum(inv.cores_in_use for inv in invokers)
         assert sum(totals.values()) == 9 - running
+
+
+#: Corrupts one invoker's load entry and calls ``verify``; exits 0 only
+#: when the corruption is reported.  Run under ``python -O`` below.
+_CORRUPT_AND_VERIFY = """
+from repro.faas.index import ClusterIndex
+from repro.faas.invoker import Invoker
+from repro.sim.events import EventLoop
+
+loop = EventLoop()
+index = ClusterIndex([Invoker(loop, cores=1, invoker_id="invoker-0")])
+index.verify()
+index._loads[0] += 1
+try:
+    index.verify()
+except AssertionError:
+    raise SystemExit(0)
+raise SystemExit(1)
+"""
+
+
+class TestVerify:
+    def test_stale_load_entry_raises(self):
+        loop, invokers = _cluster(2)
+        index = ClusterIndex(invokers)
+        invokers[0].deploy(_spec("act-a"), containers=1, max_containers=1)
+        index.verify()
+        index._loads[0] += 1
+        with pytest.raises(AssertionError, match="load index stale at 0"):
+            index.verify()
+
+    def test_verify_still_raises_under_python_O(self):
+        # ``assert`` statements vanish under -O; verify's checks must not.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        completed = subprocess.run(
+            [sys.executable, "-O", "-c", _CORRUPT_AND_VERIFY],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr

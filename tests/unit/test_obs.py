@@ -333,8 +333,15 @@ class TestLatencyDecomposer:
 
 class TestTracingChangesNothingSimulated:
     def test_off_and_full_runs_are_bit_identical(self):
+        self._assert_identical_to_off("full")
+
+    def test_off_and_sampled_runs_are_bit_identical(self):
+        self._assert_identical_to_off("sampled")
+
+    @staticmethod
+    def _assert_identical_to_off(tracing: str) -> None:
         platform_off, result_off = _recorded_run(tracing="off", seed=23)
-        platform_on, result_on = _recorded_run(tracing="full", seed=23)
+        platform_on, result_on = _recorded_run(tracing=tracing, seed=23)
         assert platform_off.trace() is None
         assert platform_on.trace() is not None
         assert result_off.achieved_rps == result_on.achieved_rps
